@@ -10,12 +10,21 @@
 #   MATCH     optional: a literal substring the combined stdout+stderr must
 #             contain — pins error-message contracts (e.g. which config a
 #             validation error names), not just the exit code
+#   NESTED_JSON   optional: path of a file to write before the run, holding
+#                 NESTED_DEPTH open '[' then as many ']' — a hostile input
+#                 generated at test time instead of checked in
 
 foreach(var TCDM_RUN EXPECTED)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "expect_exit.cmake: missing -D${var}=...")
   endif()
 endforeach()
+
+if(DEFINED NESTED_JSON)
+  string(REPEAT "[" ${NESTED_DEPTH} open)
+  string(REPEAT "]" ${NESTED_DEPTH} close)
+  file(WRITE "${NESTED_JSON}" "${open}${close}")
+endif()
 
 separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
 execute_process(

@@ -1,6 +1,7 @@
 #include "src/burst/burst_sender.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace tcdm {
 
@@ -16,18 +17,28 @@ BurstSender::BurstSender(const BurstSenderConfig& cfg, unsigned num_ports)
     : cfg_(cfg),
       num_ports_(num_ports),
       capacity_items_(staging_capacity_items(cfg, num_ports)),
-      staging_(staging_capacity_items(cfg, num_ports) + kMaxPorts),
+      slab_(staging_capacity_items(cfg, num_ports) + kMaxPorts),
+      links_(slab_.size()),
       table_(cfg.table_size) {
   assert(num_ports_ >= 1);
   assert(cfg_.max_burst_len <= kMaxBurstLen);
-  free_ids_.reserve(cfg_.table_size);
-  for (unsigned i = 0; i < cfg_.table_size; ++i) {
-    free_ids_.push_back(cfg_.table_size - 1 - i);
+  if (slab_.size() >= kNil) {
+    throw std::invalid_argument("BurstSender: staging_beats x ports exceeds the staging slab");
   }
+  free_ids_.reserve(cfg_.table_size);
+  reset();
 }
 
 void BurstSender::reset() {
-  staging_.clear();
+  for (std::size_t s = 0; s < slab_.size(); ++s) {
+    links_[s] = Links{.next = s + 1 < slab_.size() ? static_cast<Slot>(s + 1) : kNil};
+  }
+  free_head_ = 0;
+  newest_ = kNil;
+  inbox_ = Lane{};
+  for (Lane& lane : lanes_) lane = Lane{};
+  active_lanes_.clear_all();
+  staged_ = 0;
   for (TableEntry& e : table_) e = TableEntry{};
   free_ids_.clear();
   for (unsigned i = 0; i < cfg_.table_size; ++i) {
@@ -54,10 +65,52 @@ std::optional<std::uint32_t> BurstSender::alloc_burst() {
   return id;
 }
 
+void BurstSender::lane_push(Lane& lane, Slot s) noexcept {
+  links_[s].next = kNil;
+  if (lane.tail == kNil) {
+    lane.head = s;
+  } else {
+    links_[lane.tail].next = s;
+  }
+  lane.tail = s;
+}
+
+BurstSender::Slot BurstSender::lane_pop(Lane& lane) noexcept {
+  const Slot s = lane.head;
+  lane.head = links_[s].next;
+  if (lane.head == kNil) lane.tail = kNil;
+  return s;
+}
+
+void BurstSender::release(Slot s) noexcept {
+  Links& l = links_[s];
+  if (l.older != kNil) links_[l.older].newer = l.newer;
+  if (l.newer != kNil) {
+    links_[l.newer].older = l.older;
+  } else {
+    newest_ = l.older;
+  }
+  l = Links{.next = free_head_};
+  free_head_ = s;
+  --staged_;
+}
+
+void BurstSender::stage(const PendingItem& item) {
+  assert(free_head_ != kNil && "BurstSender staging capacity bound violated");
+  const Slot s = free_head_;
+  free_head_ = links_[s].next;
+  slab_[s] = item;
+  links_[s].older = newest_;
+  if (newest_ != kNil) links_[newest_].newer = s;
+  newest_ = s;
+  lane_push(inbox_, s);
+  ++staged_;
+}
+
 bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base, TileId dst,
                                   unsigned stride, bool write, const AddressMap& map) {
-  if (staging_.empty()) return false;
-  PendingItem& tail = staging_.back();
+  if (newest_ == kNil) return false;
+  PendingItem& tail = slab_[newest_];
   if (!tail.is_burst || tail.dst_tile != dst) return false;
   if (tail.stride != stride || tail.write != write) return false;
   if (tail.base + static_cast<Addr>(tail.len) * stride * kWordBytes != base) return false;
@@ -83,16 +136,11 @@ bool BurstSender::try_extend_tail(const WordRequest* run, unsigned n, Addr base,
 bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
                               TileId home_tile) {
   assert(can_accept_beat());
-  const auto push_staged = [this](const PendingItem& item) {
-    const bool ok = staging_.try_push(item);
-    assert(ok && "BurstSender staging capacity bound violated");
-    (void)ok;
-  };
-  const auto push_narrow = [&push_staged](const WordRequest& w) {
+  const auto push_narrow = [this](const WordRequest& w) {
     PendingItem item;
     item.is_burst = false;
     item.word = w;
-    push_staged(item);
+    stage(item);
   };
 
   // A 1-word-stride vlse32 is semantically a vle32; the extension detects
@@ -145,7 +193,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
       item.stride = 1;
       item.dst_tile = dst;
       for (std::size_t j = 0; j < run; ++j) item.wdata[j] = beat.words[i + j].wdata;
-      push_staged(item);
+      stage(item);
     } else {
       const auto id = alloc_burst();
       if (!id.has_value()) {
@@ -167,7 +215,7 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
         item.stride = static_cast<std::uint8_t>(stride);
         item.burst_id = *id;
         item.dst_tile = dst;
-        push_staged(item);
+        stage(item);
       }
     }
     i += run;
@@ -176,83 +224,99 @@ bool BurstSender::accept_beat(const BeatRequest& beat, const AddressMap& map,
   return true;
 }
 
+void BurstSender::route_inbox(const AddressMap& map, const Topology& topo, TileId home) {
+  if (lanes_.empty()) {
+    num_classes_ = topo.num_classes();
+    lanes_.resize(num_classes_ + map.banks_per_tile());
+    active_lanes_.init(lanes_.size());
+  }
+  assert(lanes_.size() == num_classes_ + map.banks_per_tile());
+  while (inbox_.head != kNil) {
+    const Slot s = lane_pop(inbox_);
+    PendingItem& it = slab_[s];
+    std::size_t lane = 0;
+    if (it.is_burst) {
+      lane = topo.class_of(home, it.dst_tile);
+    } else {
+      const DecodedAddr dec = map.decode(it.word.addr);
+      it.dst_tile = dec.tile;
+      if (dec.tile == home) {
+        lane = num_classes_ + dec.bank_in_tile;
+      } else {
+        lane = topo.class_of(home, dec.tile);
+      }
+    }
+    lane_push(lanes_[lane], s);
+    active_lanes_.set(lane);
+  }
+}
+
 void BurstSender::dispatch(Cycle now, TileServices& tile) {
+  if (staged_ == 0) return;
   const AddressMap& map = tile.map();
   const TileId home = tile.tile_id();
   HierNetwork& net = tile.net();
-  const Topology& topo = net.topology();
+  if (inbox_.head != kNil) route_inbox(map, net.topology(), home);
 
-  // Attempt every staged item once per cycle; items whose port or bank is
-  // busy stay for the next cycle. Later items may bypass blocked ones (the
-  // per-port ROBs make retirement order-independent; kernels never issue
-  // overlapping same-address accesses inside this small window).
-  // Pop-and-requeue over the ring: unsent items keep their relative order,
-  // exactly like the old deque middle-erase, without its element shuffling.
-  const std::size_t staged = staging_.size();
-  for (std::size_t k = 0; k < staged; ++k) {
-    PendingItem item = staging_.pop();
-    const PendingItem* it = &item;
-    bool sent = false;
-    if (!it->is_burst) {
-      const WordRequest& w = it->word;
-      const DecodedAddr dec = map.decode(w.addr);
-      const TileId dst = dec.tile;
-      if (dst == home) {
+  // Items whose port or bank is busy stay for the next cycle; later items
+  // to other destinations bypass them (the per-port ROBs make retirement
+  // order-independent; kernels never issue overlapping same-address
+  // accesses inside this small window). A class port takes at most one
+  // request per cycle, so a class lane offers only its head; a bank lane
+  // pushes its oldest run until the bank refuses.
+  active_lanes_.for_each_live([&](std::size_t l) {
+    Lane& lane = lanes_[l];
+    if (l >= num_classes_) {
+      const unsigned bank = static_cast<unsigned>(l - num_classes_);
+      do {
+        const PendingItem& it = slab_[lane.head];
         BankReq br;
-        br.row = dec.row;
-        br.write = w.write;
-        br.wdata = w.wdata;
+        br.row = map.row_of(it.word.addr);
+        br.write = it.word.write;
+        br.wdata = it.word.wdata;
         br.route.kind = RouteKind::kLocalVector;
-        br.route.port = w.port;
-        br.route.rob_slot = w.rob_slot;
+        br.route.port = it.word.port;
+        br.route.rob_slot = it.word.rob_slot;
         br.route.src_tile = home;
-        if (tile.try_local_push(dec.bank_in_tile, br)) {
-          local_words_.inc();
-          sent = true;
-        }
-      } else {
-        const std::uint8_t cls = topo.class_of(home, dst);
-        if (net.can_send_req(home, cls, now)) {
-          TcdmReq req;
-          req.addr = w.addr;
-          req.len = 1;
-          req.write = w.write;
-          req.wdata = w.wdata;
-          req.src_tile = home;
-          req.tag.owner = ReqOwner::kVecNarrow;
-          req.tag.port = w.port;
-          req.tag.rob_slot = w.rob_slot;
-          net.send_req(home, dst, req, now);
-          narrow_sent_.inc();
-          sent = true;
-        }
-      }
+        if (!tile.try_local_push(bank, br)) return;
+        local_words_.inc();
+        release(lane_pop(lane));
+      } while (lane.head != kNil);
+      active_lanes_.clear(l);
+      return;
+    }
+    if (!net.can_send_req(home, static_cast<std::uint8_t>(l), now)) return;
+    const PendingItem& it = slab_[lane.head];
+    TcdmReq req;
+    req.src_tile = home;
+    if (!it.is_burst) {
+      const WordRequest& w = it.word;
+      req.addr = w.addr;
+      req.len = 1;
+      req.write = w.write;
+      req.wdata = w.wdata;
+      req.tag.owner = ReqOwner::kVecNarrow;
+      req.tag.port = w.port;
+      req.tag.rob_slot = w.rob_slot;
+      net.send_req(home, it.dst_tile, req, now);
+      narrow_sent_.inc();
     } else {
-      const std::uint8_t cls = topo.class_of(home, it->dst_tile);
-      if (net.can_send_req(home, cls, now)) {
-        TcdmReq req;
-        req.addr = it->base;
-        req.len = it->len;
-        req.stride = it->stride;
-        req.write = it->write;
-        req.src_tile = home;
-        req.tag.owner = ReqOwner::kBurst;
-        req.tag.id = it->burst_id;
-        if (it->write) req.burst_wdata = it->wdata;
-        net.send_req(home, it->dst_tile, req, now);
-        bursts_sent_.inc();
-        burst_words_.inc(it->len);
-        if (it->stride > 1) strided_bursts_sent_.inc();
-        if (it->write) store_bursts_sent_.inc();
-        sent = true;
-      }
+      req.addr = it.base;
+      req.len = it.len;
+      req.stride = it.stride;
+      req.write = it.write;
+      req.tag.owner = ReqOwner::kBurst;
+      req.tag.id = it.burst_id;
+      if (it.write) req.burst_wdata = it.wdata;
+      net.send_req(home, it.dst_tile, req, now);
+      bursts_sent_.inc();
+      burst_words_.inc(it.len);
+      if (it.stride > 1) strided_bursts_sent_.inc();
+      if (it.write) store_bursts_sent_.inc();
     }
-    if (!sent) {
-      const bool ok = staging_.try_push(std::move(item));
-      assert(ok);
-      (void)ok;
-    }
-  }
+    release(lane_pop(lane));
+    if (lane.head == kNil) active_lanes_.clear(l);
+  });
 }
 
 BurstSender::BurstWord BurstSender::lookup(std::uint32_t id, unsigned word_offset) const {

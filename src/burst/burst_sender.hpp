@@ -21,6 +21,15 @@
 // dispatch() is called from the tile-parallel core phase; it may only use
 // the calling tile's TileServices (own banks, own master ports — remote
 // sends stage their cross-tile effects inside HierNetwork, see network.hpp).
+//
+// Staging is a set of per-destination FIFO lanes — one per remote
+// destination class (master port) and one per local bank — threaded through
+// a fixed slab of items, so a cycle costs O(non-empty lanes), not O(staged
+// items). This sends exactly what a scan of all staged items in staging
+// order would: a class port accepts at most one request per cycle and a
+// bank that refuses a push stays full for the rest of dispatch(), so the
+// scan sends the oldest item of each free class plus the oldest run of each
+// accepting bank, and those resources are independent of one another.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "src/common/bounded_queue.hpp"
+#include "src/common/active_bitmap.hpp"
 #include "src/common/inline_vec.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/types.hpp"
@@ -88,7 +97,7 @@ class BurstSender {
 
   /// Room for one more beat? The VLSU checks this before address generation.
   [[nodiscard]] bool can_accept_beat() const noexcept {
-    return staging_.size() <= capacity_items_;
+    return staged_ <= capacity_items_;
   }
 
   /// Stage a beat: coalesce burst-eligible runs, enqueue the rest narrow.
@@ -109,8 +118,8 @@ class BurstSender {
   /// whole burst has returned.
   void note_resolved(std::uint32_t id, unsigned n);
 
-  [[nodiscard]] bool busy() const noexcept { return !staging_.empty() || live_bursts_ != 0; }
-  [[nodiscard]] bool staging_empty() const noexcept { return staging_.empty(); }
+  [[nodiscard]] bool busy() const noexcept { return staged_ != 0 || live_bursts_ != 0; }
+  [[nodiscard]] bool staging_empty() const noexcept { return staged_ == 0; }
 
   /// Back to the just-constructed state (empty staging, all burst ids free).
   void reset();
@@ -126,8 +135,26 @@ class BurstSender {
     std::uint8_t stride = 1;  // element spacing in words (strided-burst ext.)
     bool write = false;       // write burst (store-burst ext.)
     std::uint32_t burst_id = 0;
-    TileId dst_tile = 0;
+    TileId dst_tile = 0;      // burst: set when staged; narrow: when routed
     std::array<Word, kMaxBurstLen> wdata{};  // write-burst payload
+  };
+
+  /// Slab index; kNil ends a list.
+  using Slot = std::uint8_t;
+  static constexpr Slot kNil = 0xff;
+  /// Per-slot links. `next` threads the slot's lane (or the free list);
+  /// `older`/`newer` thread every staged item in staging order, so the
+  /// newest one still staged — the only one try_extend_tail may grow — is
+  /// known without a scan.
+  struct Links {
+    Slot next = kNil;
+    Slot older = kNil;
+    Slot newer = kNil;
+  };
+  /// Intrusive FIFO of slab slots linked through Links::next.
+  struct Lane {
+    Slot head = kNil;
+    Slot tail = kNil;
   };
 
   struct TableEntry {
@@ -143,16 +170,33 @@ class BurstSender {
   [[nodiscard]] bool try_extend_tail(const WordRequest* run, unsigned n, Addr base,
                                      TileId dst, unsigned stride, bool write,
                                      const AddressMap& map);
+  void stage(const PendingItem& item);
+  /// Move newly staged items from the inbox to their destination lanes.
+  void route_inbox(const AddressMap& map, const Topology& topo, TileId home);
+  void lane_push(Lane& lane, Slot s) noexcept;
+  Slot lane_pop(Lane& lane) noexcept;
+  void release(Slot s) noexcept;
 
   BurstSenderConfig cfg_;
   unsigned num_ports_;
   std::size_t capacity_items_;
-  // Ring, not deque: can_accept_beat() admits a beat only while
-  // size() <= capacity_items_, and one beat stages at most kMaxPorts items,
-  // so occupancy never exceeds capacity_items_ + kMaxPorts (ring capacity,
-  // asserted on push). dispatch() pops the whole ring and re-pushes unsent
-  // items, which preserves relative order exactly like the old middle-erase.
-  BoundedQueue<PendingItem> staging_;
+  // Staging slab: can_accept_beat() admits a beat only while
+  // staged_ <= capacity_items_, and one beat stages at most kMaxPorts items,
+  // so occupancy never exceeds capacity_items_ + kMaxPorts (the slab size,
+  // asserted on stage()). Items never move once staged: accept_beat()
+  // appends to inbox_, dispatch() routes the inbox to lanes_ — destination
+  // classes [0, num_classes_), then local banks — and sends from lane heads.
+  // Routing waits for dispatch() because the class needs the tile's
+  // topology and narrow items are decoded with the tile's own map.
+  std::vector<PendingItem> slab_;
+  std::vector<Links> links_;
+  Slot free_head_ = kNil;
+  Slot newest_ = kNil;         // most recently staged item not yet sent
+  Lane inbox_;                 // staged since the last dispatch, unrouted
+  std::vector<Lane> lanes_;    // sized by the first route_inbox()
+  ActiveBitmap active_lanes_;  // non-empty lanes_
+  std::size_t num_classes_ = 0;
+  std::size_t staged_ = 0;     // items in the inbox and all lanes
   std::vector<TableEntry> table_;
   std::vector<std::uint32_t> free_ids_;
   unsigned live_bursts_ = 0;

@@ -245,6 +245,8 @@ class Parser {
   }
 
  private:
+  static constexpr unsigned kMaxDepth = 512;
+
   [[noreturn]] void fail(const std::string& what) const {
     throw JsonError("JSON parse error at offset " + std::to_string(pos_) + ": " + what);
   }
@@ -275,8 +277,15 @@ class Parser {
 
   Json parse_value() {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each open bracket recurses once; cap the depth so a hostile
+        // "[[[..." file is a parse error, not a stack overflow.
+        if (++depth_ > kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+        Json v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -396,6 +405,7 @@ class Parser {
   }
 
   std::string_view text_;
+  unsigned depth_ = 0;  // open arrays/objects enclosing pos_
   std::size_t pos_ = 0;
 };
 

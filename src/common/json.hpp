@@ -77,7 +77,8 @@ class Json {
   /// exactly like parse(dump()).
   [[nodiscard]] std::string dump_compact() const;
 
-  /// Parse a complete JSON document; trailing garbage is an error.
+  /// Parse a complete JSON document; trailing garbage and nesting deeper
+  /// than 512 arrays/objects are errors.
   static Json parse(std::string_view text);
 
  private:

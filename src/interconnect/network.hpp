@@ -89,7 +89,7 @@ class HierNetwork {
   // to different hierarchy branches may proceed in parallel, as the RTL's
   // per-class physical ports allow. Write bursts additionally hold the port
   // while their payload streams out (see send_req). Inline: this gate runs
-  // on every dispatch attempt of every staged item.
+  // every cycle for each non-empty class lane of every Burst Sender.
   [[nodiscard]] bool can_send_req(TileId src, std::uint8_t cls, Cycle now) const noexcept {
     const std::size_t p = port_index(src, cls);
     return now >= req_master_free_at_[p] && !req_master_[p].full();

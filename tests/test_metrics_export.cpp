@@ -62,6 +62,30 @@ TEST(Json, ParseErrorsThrow) {
   EXPECT_THROW((void)Json::parse("{1: 2}"), JsonError);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)Json::parse(nested(512)));
+  EXPECT_THROW((void)Json::parse(nested(513)), JsonError);
+  // Deep enough to overflow the stack if the parser recursed unchecked.
+  try {
+    (void)Json::parse(nested(200000));
+    FAIL() << "200k-deep array parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("offset 512"), std::string::npos) << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 600; ++i) objects += "{\"a\":";
+  try {
+    (void)Json::parse(objects);
+    FAIL() << "600-deep object parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 512"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Json, AccessorKindMismatchThrows) {
   const Json num(3.0);
   EXPECT_THROW((void)num.as_string(), JsonError);
